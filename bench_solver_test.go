@@ -74,7 +74,7 @@ func TestMain(m *testing.M) {
 		writeBenchJSON()
 	}
 	if len(scalingRecords) > 0 {
-		writeScalingJSON()
+		reportScaling()
 	}
 	if len(parametricRecords) > 0 {
 		writeParametricJSON()
@@ -189,7 +189,8 @@ func benchMILP(b *testing.B, cold bool) {
 	for i := 0; i < b.N; i++ {
 		for seed := uint64(0); seed < 4; seed++ {
 			p, ints := assignmentMILP(777 + seed)
-			res := milp.Solve(p, ints, nil, milp.Options{MaxNodes: 20000, DisableWarmStart: cold})
+			p.Engine.DisableWarmStart = cold
+			res := milp.Solve(p, ints, nil, milp.Options{MaxNodes: 20000})
 			if res.Status != milp.Optimal {
 				b.Fatalf("seed %d: status %v", seed, res.Status)
 			}
@@ -218,7 +219,7 @@ func benchOA(b *testing.B, cold bool) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res := minlp.Solve(m, minlp.Options{DisableWarmStart: cold})
+			res := minlp.Solve(m, minlp.Options{Engine: lp.Engine{DisableWarmStart: cold}})
 			if res.Status != minlp.Optimal {
 				b.Fatalf("set size %d: status %v", sz, res.Status)
 			}
@@ -247,7 +248,7 @@ func benchKelley(b *testing.B, cold bool) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res := nlp.SolveConvex(m, nlp.ConvexOptions{DisableWarmStart: cold})
+			res := nlp.SolveConvex(m, nlp.ConvexOptions{Engine: lp.Engine{DisableWarmStart: cold}})
 			if res.Status != nlp.ConvexOptimal {
 				b.Fatalf("set size %d: status %v", sz, res.Status)
 			}

@@ -11,7 +11,7 @@ import (
 // runs the paper's static allocation first and hands it to the master LP
 // as a crash point, which must actually install (not silently decline),
 // and the answer must match the crash-disabled route exactly. The
-// DisableCrash knob is the ablation switch — with it set, no crash
+// Engine.DisableCrash knob is the ablation switch — with it set, no crash
 // activity may occur at all.
 func TestCrashSeedsMINLPRoute(t *testing.T) {
 	p := fourTasks(64, MinMax)
@@ -28,7 +28,7 @@ func TestCrashSeedsMINLPRoute(t *testing.T) {
 	}
 
 	b0 := lp.ReadEngineStats()
-	ref, err := fourTasks(64, MinMax).SolveMINLP(SolverOptions{DisableCrash: true})
+	ref, err := fourTasks(64, MinMax).SolveMINLP(SolverOptions{Engine: lp.Engine{DisableCrash: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

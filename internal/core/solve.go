@@ -17,26 +17,16 @@ type SolverOptions struct {
 	// DisableSOSBranching is the paper's ablation: branch on individual
 	// binaries instead of the allocation special ordered sets.
 	DisableSOSBranching bool
-	// DisableWarmStart solves every LP of the Kelley relaxation and the
-	// branch-and-bound tree from scratch instead of reusing the previous
-	// basis (benchmark ablation; warm starts are on by default).
-	DisableWarmStart bool
 	// SkipNLPRelaxation starts branch-and-bound from the pure linear
 	// relaxation without the initial Kelley solve.
 	SkipNLPRelaxation bool
-	// DisableSparse solves every LP with the dense simplex kernels
-	// instead of the sparsity-aware path (benchmark ablation; the sparse
-	// kernels are on by default).
-	DisableSparse bool
-	// DisablePresolve skips the LP presolve reduction in front of every
-	// cold LP solve of the MINLP route (ablation knob; the
-	// scale-equivariance test battery exercises both settings).
-	DisablePresolve bool
-	// DisableCrash skips the heuristic crash start: by default the MINLP
-	// route runs the paper's parametric heuristic first and hands its
-	// allocation to the LP layer as a crash basis for the root relaxation
-	// (ablation knob; the crash-vs-cold battery exercises both settings).
-	DisableCrash bool
+	// Engine selects the LP engine knobs of every LP on the MINLP route
+	// and is passed down unchanged (see lp.Engine). The zero value is the
+	// production engine. Engine.DisableCrash also skips the heuristic
+	// crash start: by default the route runs the paper's parametric
+	// heuristic first and hands its allocation to the LP layer as a crash
+	// basis for the root relaxation.
+	Engine lp.Engine
 	// CutAtFractional adds outer-approximation cuts at fractional nodes.
 	CutAtFractional bool
 	// MaxNodes bounds the branch-and-bound tree; exhausting it is a hard
@@ -249,7 +239,7 @@ func (p *Problem) SolveMINLPContext(ctx context.Context, opts SolverOptions) (*A
 	// letting the root relaxation (and any cold node solve) skip phase 1.
 	// Strictly best-effort — a heuristic failure just means a cold start.
 	var hint []int
-	if !opts.DisableCrash {
+	if !opts.Engine.DisableCrash {
 		if ha, herr := sp.SolveParametricContext(ctx); herr == nil && ha != nil {
 			hint = ha.Nodes
 		}
@@ -267,10 +257,8 @@ func (p *Problem) SolveMINLPContext(ctx context.Context, opts SolverOptions) (*A
 	}
 	res := minlp.SolveContext(ctx, m, minlp.Options{
 		DisableSOSBranching: opts.DisableSOSBranching,
-		DisableWarmStart:    opts.DisableWarmStart,
+		Engine:              opts.Engine,
 		SkipNLPRelaxation:   opts.SkipNLPRelaxation,
-		DisableSparse:       opts.DisableSparse,
-		DisablePresolve:     opts.DisablePresolve,
 		CutAtFractional:     opts.CutAtFractional,
 		MaxNodes:            maxNodes,
 		TimeLimit:           opts.Deadline,

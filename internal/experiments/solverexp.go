@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/lp"
 	"repro/internal/minlp"
 	"repro/internal/perfmodel"
 	"repro/internal/stats"
@@ -50,7 +51,8 @@ func T4Solver(scale Scale) (*Table, error) {
 		// The ablation varies only the branching strategy; pin both runs
 		// to cold LP solves so warm-start vertex selection cannot reshape
 		// either tree.
-		rSOS, msSOS, err := runOne(minlp.Options{DisableWarmStart: true})
+		cold := lp.Engine{DisableWarmStart: true}
+		rSOS, msSOS, err := runOne(minlp.Options{Engine: cold})
 		if err != nil {
 			return nil, err
 		}
@@ -59,7 +61,7 @@ func T4Solver(scale Scale) (*Table, error) {
 		}
 		rBin, msBin, err := runOne(minlp.Options{
 			DisableSOSBranching: true,
-			DisableWarmStart:    true,
+			Engine:              cold,
 			TimeLimit:           binBudget,
 		})
 		if err != nil {

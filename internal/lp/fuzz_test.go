@@ -137,8 +137,8 @@ func FuzzPresolve(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := decodePresolveLP(data)
 		dense := p.Clone()
-		dense.DisableSparse = true
-		dense.DisablePresolve = true
+		dense.Engine.DisableSparse = true
+		dense.Engine.DisablePresolve = true
 
 		got, err := p.Solve()
 		if err != nil {

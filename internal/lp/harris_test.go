@@ -58,8 +58,8 @@ func TestNearParallelCutsStayInBounds(t *testing.T) {
 		{"sparse-nopresolve", true, false},
 	} {
 		p := nearParallelCutLP()
-		p.DisableSparse = !cfg.sparse
-		p.DisablePresolve = !cfg.presolve
+		p.Engine.DisableSparse = !cfg.sparse
+		p.Engine.DisablePresolve = !cfg.presolve
 		sol, err := p.Solve()
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.name, err)

@@ -12,12 +12,15 @@
 // solver uses for its LP relaxations.
 //
 // Internally the problem is presolved (presolve.go), reduced to standard
-// computational form (min cᵀx, Ax = b, x ≥ 0), and solved with Dantzig
-// pricing plus an automatic switch to Bland's rule to escape degenerate
-// cycling. Cold solves run a sparse revised simplex with a product-form
-// inverse (revised.go); warm solves and all fallbacks run the tableau
-// simplex (simplex.go) with pattern-aware kernels (sparse.go), whose dense
-// loops are the correctness authority (Problem.DisableSparse).
+// computational form (min cᵀx, Ax = b, x ≥ 0), and solved by simplex with
+// an automatic switch to Bland's rule to escape degenerate cycling. Cold
+// solves run a revised simplex over a sparse LU factorization with
+// Forrest–Tomlin updates and devex pricing (revised.go, lu.go, devex.go),
+// optionally started from a crash basis (crash.go). Warm solves
+// (Incremental) reoptimize with a devex-priced dual simplex on the tableau
+// (warm.go); they and every cold fallback run the tableau simplex
+// (simplex.go) with pattern-aware kernels (sparse.go), whose dense loops
+// are the correctness authority (Engine.DisableSparse).
 package lp
 
 import (
@@ -93,6 +96,34 @@ type Constraint struct {
 	Name  string
 }
 
+// Engine selects the LP engine's ablation knobs. The zero value is the
+// production engine; each field switches one layer off so a battery or a
+// benchmark can hold the remaining layers to the same answers. One value
+// is declared here and threaded unchanged through nlp, milp, minlp and
+// core.
+type Engine struct {
+	// DisableWarmStart makes the callers (nlp's Kelley loop, milp's node
+	// LPs) solve every LP cold with Problem.Solve instead of dual-simplex
+	// reoptimizing an Incremental from the previous basis. The lp package
+	// itself never reads it.
+	DisableWarmStart bool
+
+	// DisableSparse pins every solve to the dense simplex kernels
+	// (full-row pivots, full-column pricing): the correctness authority
+	// the sparse path is validated against.
+	DisableSparse bool
+
+	// DisablePresolve skips the presolve/postsolve reduction in front of
+	// cold Problem.Solve calls. Incremental (warm) solves never presolve;
+	// their bound-tightening machinery plays the same role.
+	DisablePresolve bool
+
+	// DisableCrash ignores any crash point set by SetCrashPoint: every
+	// solve starts from the standard slack/artificial basis. In core it
+	// also skips the parametric heuristic that supplies the point.
+	DisableCrash bool
+}
+
 // Problem is a linear program under construction. The zero value is an empty
 // minimization problem ready for use.
 type Problem struct {
@@ -106,39 +137,10 @@ type Problem struct {
 	// (scales with problem size).
 	MaxIter int
 
-	// DisableSparse pins every solve of this problem to the dense simplex
-	// kernels (full-row pivots, full-column pricing) — the correctness
-	// authority the sparse path is validated against. Copied by Clone, so
-	// the knob propagates through branch-and-bound node problems.
-	DisableSparse bool
-
-	// DisablePresolve skips the presolve/postsolve reduction in front of
-	// cold Problem.Solve calls. Incremental (warm) solves never presolve;
-	// their bound-tightening machinery plays the same role.
-	DisablePresolve bool
-
-	// DisableDevex pins the revised engine and the warm dual simplex to
-	// classic Dantzig pricing instead of devex reference-framework weights.
-	// Ablation knob for the devex-vs-Dantzig property battery and the
-	// pivot-count benchmarks; pricing choice can change which tied-optimal
-	// vertex a solve lands on, never the verdict. Copied by Clone.
-	DisableDevex bool
-
-	// DisableCrash ignores any crash point set by SetCrashPoint: every
-	// solve starts from the standard slack/artificial basis. Ablation knob
-	// for the crash-vs-cold property battery. Copied by Clone.
-	DisableCrash bool
-
-	// DisableAggregation skips the duplicate-column/duplicate-row
-	// aggregation pass in front of cold Problem.Solve calls (presolve.go).
-	// Ablation knob for the aggregation round-trip battery. Copied by Clone.
-	DisableAggregation bool
-
-	// DisableBorder pins the revised engine to plain LU factorization of
-	// the full basis: dense coupling columns (the T-series makespan column)
-	// are factored in place instead of being held out in a bordered
-	// Sherman–Morrison solve (border.go). Ablation knob. Copied by Clone.
-	DisableBorder bool
+	// Engine carries the engine ablation knobs; the zero value is the
+	// production engine. Copied by Clone and presolve, so the knobs
+	// propagate unchanged to branch-and-bound node problems.
+	Engine Engine
 
 	// crashPoint, when non-nil, is a caller-supplied primal point in
 	// original variable space that solvers may round to a starting vertex
@@ -218,19 +220,14 @@ func (p *Problem) CrashPoint() []float64 { return p.crashPoint }
 // Clone returns a deep copy of the problem.
 func (p *Problem) Clone() *Problem {
 	c := &Problem{
-		costs:              append([]float64(nil), p.costs...),
-		lo:                 append([]float64(nil), p.lo...),
-		hi:                 append([]float64(nil), p.hi...),
-		names:              append([]string(nil), p.names...),
-		rows:               make([]Constraint, len(p.rows)),
-		MaxIter:            p.MaxIter,
-		DisableSparse:      p.DisableSparse,
-		DisablePresolve:    p.DisablePresolve,
-		DisableDevex:       p.DisableDevex,
-		DisableCrash:       p.DisableCrash,
-		DisableAggregation: p.DisableAggregation,
-		DisableBorder:      p.DisableBorder,
-		crashPoint:         append([]float64(nil), p.crashPoint...),
+		costs:      append([]float64(nil), p.costs...),
+		lo:         append([]float64(nil), p.lo...),
+		hi:         append([]float64(nil), p.hi...),
+		names:      append([]string(nil), p.names...),
+		rows:       make([]Constraint, len(p.rows)),
+		MaxIter:    p.MaxIter,
+		Engine:     p.Engine,
+		crashPoint: append([]float64(nil), p.crashPoint...),
 	}
 	for i, r := range p.rows {
 		c.rows[i] = Constraint{Terms: append([]Term(nil), r.Terms...), Sense: r.Sense, RHS: r.RHS, Name: r.Name}

@@ -53,7 +53,7 @@ func TestPhase1HookPlumbing(t *testing.T) {
 	// catch this trivially (singleton row vs. bounds) before phase 1 ever
 	// runs, so pin the solve to the raw two-phase path.
 	p := NewProblem()
-	p.DisablePresolve = true
+	p.Engine.DisablePresolve = true
 	x := p.AddVariable(0, 1, 1, "x")
 	p.AddConstraint([]Term{{x, 1}}, GE, 5, "")
 	sol, _ := p.Solve()

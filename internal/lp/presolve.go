@@ -33,7 +33,7 @@ import (
 //
 // Warm (Incremental) solves never presolve: their keep-fixed
 // standardization must retain every column and row so later TightenBound
-// calls remain absorbable. Problem.DisablePresolve opts cold solves out.
+// calls remain absorbable. Engine.DisablePresolve opts cold solves out.
 
 // psAction logs one eliminated singleton row for reverse replay.
 type psAction struct {
@@ -255,12 +255,8 @@ func presolveProblem(p *Problem) (*presolved, Status) {
 	// Assemble the reduced problem.
 	red := NewProblem()
 	red.MaxIter = p.MaxIter
-	red.DisableSparse = p.DisableSparse
-	red.DisableDevex = p.DisableDevex
-	red.DisableCrash = p.DisableCrash
-	red.DisableAggregation = p.DisableAggregation
-	red.DisableBorder = p.DisableBorder
-	red.DisablePresolve = true
+	red.Engine = p.Engine
+	red.Engine.DisablePresolve = true
 	ps.colMap = make([]int, n)
 	ps.fixed = fixed
 	for j := 0; j < n; j++ {

@@ -65,8 +65,8 @@ func presolveInstance(rng *stats.RNG) *Problem {
 func comparePaths(t *testing.T, seed int, p *Problem) {
 	t.Helper()
 	dense := p.Clone()
-	dense.DisableSparse = true
-	dense.DisablePresolve = true
+	dense.Engine.DisableSparse = true
+	dense.Engine.DisablePresolve = true
 
 	got, err := p.Solve()
 	if err != nil {

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 // here are shaped to make the LU machinery actually work — pivot paths
 // long enough to run through multiple Forrest–Tomlin update cycles and
 // scheduled refactorizations, degenerate faces that stress the drift
-// checks, and the devex/Dantzig ablation on both the cold and warm paths.
+// checks, and the warm dual simplex's devex leaving-row pricing.
 
 // tSeriesInstance builds a small copy of the paper's min-max allocation
 // shape (the bench_scaling generator, shrunk): per family a pick row over K
@@ -55,143 +56,164 @@ func luBatteryInstance(rng *stats.RNG, seed int) *Problem {
 		return tSeriesInstance(rng, 8+rng.Intn(40))
 	}
 	p := randomLP(rng, 20+rng.Intn(40), 15+rng.Intn(30))
-	p.DisablePresolve = true
+	p.Engine.DisablePresolve = true
+	return p
+}
+
+// duplicateLP builds a small LP skewed toward duplicated structure:
+// bit-exact copies of columns (identical cost, bounds, and coefficients
+// everywhere) and of rows (identical terms, possibly different RHS). Such
+// bases carry parallel columns and parallel rows, the degenerate case for
+// LU pivot selection. The matrix is built dense-first so duplicated
+// columns are exact copies.
+func duplicateLP(rng *stats.RNG) *Problem {
+	nBase := 1 + rng.Intn(5)
+	nRow := 1 + rng.Intn(5)
+	var cost, hi []float64
+	var cols [][]float64
+	for j := 0; j < nBase; j++ {
+		col := make([]float64, nRow)
+		for i := range col {
+			col[i] = float64(rng.Intn(9) - 4)
+		}
+		c := float64(rng.Intn(11) - 5)
+		h := float64(1 + rng.Intn(9))
+		reps := 1
+		if rng.Intn(2) == 0 {
+			reps = 2 + rng.Intn(2)
+		}
+		for r := 0; r < reps; r++ {
+			cost = append(cost, c)
+			hi = append(hi, h)
+			cols = append(cols, col)
+		}
+	}
+	p := NewProblem()
+	for j := range cols {
+		p.AddVariable(0, hi[j], cost[j], "")
+	}
+	for i := 0; i < nRow; i++ {
+		var terms []Term
+		for j := range cols {
+			if c := cols[j][i]; c != 0 {
+				terms = append(terms, Term{Var: j, Coef: c})
+			}
+		}
+		if len(terms) == 0 {
+			continue
+		}
+		sense := Sense(rng.Intn(3))
+		rhs := float64(rng.Intn(31) - 5)
+		reps := 1
+		if rng.Intn(3) == 0 {
+			reps = 2
+		}
+		for r := 0; r < reps; r++ {
+			p.AddConstraint(terms, sense, rhs+float64(r*rng.Intn(4)), "")
+		}
+	}
 	return p
 }
 
 // TestLUvsDenseProperty: the sparse-LU revised engine must reproduce the
 // dense tableau authority's verdict on ~1000 instances whose pivot paths
-// exercise the full Forrest–Tomlin update/reinversion cycle, and every
-// Optimal claim must carry a KKT certificate. Objectives are compared under
-// the same scaled discipline as tol.go (relative to the optimum magnitude).
+// exercise the full Forrest–Tomlin update/reinversion cycle, plus a family
+// of duplicate-column/duplicate-row instances, and every Optimal claim must
+// carry a KKT certificate. Objectives are compared under the same scaled
+// discipline as tol.go (relative to the optimum magnitude).
 func TestLUvsDenseProperty(t *testing.T) {
-	instances := 1000
+	instances, duplicates := 1000, 1000
 	if testing.Short() {
-		instances = 120
+		instances, duplicates = 120, 200
 	}
 	before := revisedSolves.Load()
 	for seed := 0; seed < instances; seed++ {
 		rng := stats.NewRNG(uint64(seed) + 88001)
-		p := luBatteryInstance(rng, seed)
-		dense := p.Clone()
-		dense.DisableSparse = true
-
-		got, err := p.Solve()
-		if err != nil {
-			t.Fatalf("seed %d: sparse err %v", seed, err)
-		}
-		want, err := dense.Solve()
-		if err != nil {
-			t.Fatalf("seed %d: dense err %v", seed, err)
-		}
-		if got.Status != want.Status {
-			t.Fatalf("seed %d: status %v (LU) vs %v (dense)", seed, got.Status, want.Status)
-		}
-		if got.Status != Optimal {
-			continue
-		}
-		scale := 1 + math.Abs(want.Obj)
-		if diff := math.Abs(got.Obj - want.Obj); diff > 1e-6*scale {
-			t.Fatalf("seed %d: obj %v (LU) vs %v (dense), diff %g", seed, got.Obj, want.Obj, diff)
-		}
-		if err := VerifyKKT(p, got, 1e-6); err != nil {
-			t.Fatalf("seed %d: KKT on LU solution: %v", seed, err)
-		}
+		checkLUvsDense(t, fmt.Sprintf("seed %d", seed), luBatteryInstance(rng, seed))
+	}
+	rng := stats.NewRNG(808)
+	for it := 0; it < duplicates; it++ {
+		checkLUvsDense(t, fmt.Sprintf("duplicate %d", it), duplicateLP(rng))
 	}
 	if revisedSolves.Load() == before {
 		t.Fatal("battery never reached the revised LU engine")
 	}
 }
 
-// TestDevexAblationProperty: devex weights may only steer pivot ORDER —
-// under DisableDevex the cold revised path and the warm dual path must
-// reach the same verdict and objective on every instance. The pivot totals
-// of both policies are logged for the record; on this problem family devex
-// is roughly pivot-neutral (see DESIGN.md), so no ratio is asserted.
-func TestDevexAblationProperty(t *testing.T) {
-	instances := 500
-	if testing.Short() {
-		instances = 80
+// checkLUvsDense solves p on the default engine and on the dense
+// authority and holds them to the same verdict, objective, and a KKT
+// certificate on the LU optimum.
+func checkLUvsDense(t *testing.T, label string, p *Problem) {
+	t.Helper()
+	dense := p.Clone()
+	dense.Engine.DisableSparse = true
+	got, err := p.Solve()
+	if err != nil {
+		t.Fatalf("%s: sparse err %v", label, err)
 	}
-	pivDevex, pivDantzig := 0, 0
-	for seed := 0; seed < instances; seed++ {
-		rng := stats.NewRNG(uint64(seed) + 99001)
-		p := luBatteryInstance(rng, seed)
-		ablated := p.Clone()
-		ablated.DisableDevex = true
-
-		got, err := p.Solve()
-		if err != nil {
-			t.Fatalf("seed %d: devex err %v", seed, err)
-		}
-		want, err := ablated.Solve()
-		if err != nil {
-			t.Fatalf("seed %d: dantzig err %v", seed, err)
-		}
-		if got.Status != want.Status {
-			t.Fatalf("seed %d: status %v (devex) vs %v (dantzig)", seed, got.Status, want.Status)
-		}
-		if got.Status == Optimal {
-			scale := 1 + math.Abs(want.Obj)
-			if diff := math.Abs(got.Obj - want.Obj); diff > 1e-6*scale {
-				t.Fatalf("seed %d: obj %v (devex) vs %v (dantzig), diff %g", seed, got.Obj, want.Obj, diff)
-			}
-		}
-		pivDevex += got.Pivots
-		pivDantzig += want.Pivots
+	want, err := dense.Solve()
+	if err != nil {
+		t.Fatalf("%s: dense err %v", label, err)
 	}
-	t.Logf("cold pivots: devex %d vs dantzig %d (%.2fx)", pivDevex, pivDantzig,
-		float64(pivDevex)/float64(pivDantzig))
+	if got.Status != want.Status {
+		t.Fatalf("%s: status %v (LU) vs %v (dense)", label, got.Status, want.Status)
+	}
+	if got.Status != Optimal {
+		return
+	}
+	scale := 1 + math.Abs(want.Obj)
+	if diff := math.Abs(got.Obj - want.Obj); diff > 1e-6*scale {
+		t.Fatalf("%s: obj %v (LU) vs %v (dense), diff %g", label, got.Obj, want.Obj, diff)
+	}
+	if err := VerifyKKT(p, got, 1e-6); err != nil {
+		t.Fatalf("%s: KKT on LU solution: %v", label, err)
+	}
 }
 
 // TestDualDevexWarmAblation drives the warm dual simplex — an RHS walk on
 // the budget row plus bound tightenings, the branch-and-bound access
-// pattern — under both leaving-row policies. Verdict and objective must
-// match the cold authority at every step regardless of policy.
+// pattern — under its devex leaving-row pricing. Verdict and objective
+// must match the cold dense authority at every step.
 func TestDualDevexWarmAblation(t *testing.T) {
 	walks := 60
 	if testing.Short() {
 		walks = 15
 	}
 	for seed := 0; seed < walks; seed++ {
-		for _, disable := range []bool{false, true} {
-			rng := stats.NewRNG(uint64(seed) + 55001)
-			fam := 6 + rng.Intn(14)
-			p := tSeriesInstance(rng, fam)
-			p.DisableDevex = disable
-			budgetRow := p.NumConstraints() - 1
-			base := p.rows[budgetRow].RHS
-			inc := NewIncremental(p)
-			if _, err := inc.Solve(); err != nil {
-				t.Fatalf("seed %d: cold start: %v", seed, err)
+		rng := stats.NewRNG(uint64(seed) + 55001)
+		fam := 6 + rng.Intn(14)
+		p := tSeriesInstance(rng, fam)
+		budgetRow := p.NumConstraints() - 1
+		base := p.rows[budgetRow].RHS
+		inc := NewIncremental(p)
+		if _, err := inc.Solve(); err != nil {
+			t.Fatalf("seed %d: cold start: %v", seed, err)
+		}
+		for step := 0; step < 8; step++ {
+			inc.SetRHS(budgetRow, base*(1-0.08*float64(step)))
+			if step == 4 {
+				// A bound tightening mid-walk, as branching would do.
+				v := 1 + rng.Intn(p.NumVariables()-1)
+				inc.TightenBound(v, 0, 0.5)
 			}
-			for step := 0; step < 8; step++ {
-				inc.SetRHS(budgetRow, base*(1-0.08*float64(step)))
-				if step == 4 {
-					// A bound tightening mid-walk, as branching would do.
-					v := 1 + rng.Intn(p.NumVariables()-1)
-					inc.TightenBound(v, 0, 0.5)
-				}
-				warm, err := inc.Solve()
-				if err != nil {
-					t.Fatalf("seed %d step %d: warm: %v", seed, step, err)
-				}
-				cold := p.Clone()
-				cold.DisableSparse = true
-				want, err := cold.Solve()
-				if err != nil {
-					t.Fatalf("seed %d step %d: cold: %v", seed, step, err)
-				}
-				if warm.Status != want.Status {
-					t.Fatalf("seed %d step %d devexOff=%v: status %v (warm) vs %v (cold)",
-						seed, step, disable, warm.Status, want.Status)
-				}
-				if warm.Status == Optimal {
-					scale := 1 + math.Abs(want.Obj)
-					if diff := math.Abs(warm.Obj - want.Obj); diff > 1e-6*scale {
-						t.Fatalf("seed %d step %d devexOff=%v: obj %v vs %v",
-							seed, step, disable, warm.Obj, want.Obj)
-					}
+			warm, err := inc.Solve()
+			if err != nil {
+				t.Fatalf("seed %d step %d: warm: %v", seed, step, err)
+			}
+			cold := p.Clone()
+			cold.Engine.DisableSparse = true
+			want, err := cold.Solve()
+			if err != nil {
+				t.Fatalf("seed %d step %d: cold: %v", seed, step, err)
+			}
+			if warm.Status != want.Status {
+				t.Fatalf("seed %d step %d: status %v (warm) vs %v (cold)",
+					seed, step, warm.Status, want.Status)
+			}
+			if warm.Status == Optimal {
+				scale := 1 + math.Abs(want.Obj)
+				if diff := math.Abs(warm.Obj - want.Obj); diff > 1e-6*scale {
+					t.Fatalf("seed %d step %d: obj %v vs %v", seed, step, warm.Obj, want.Obj)
 				}
 			}
 		}

@@ -190,7 +190,7 @@ func standardize(p *Problem, ws *workspace, keepFixed, sparseOnly bool) (*standa
 	}
 	maxCols += 2 * len(p.rows)
 	var rows [][]float64
-	sparseOn := !p.DisableSparse || sparseOnly
+	sparseOn := !p.Engine.DisableSparse || sparseOnly
 	var pats [][]int32
 	var patFlat []int32
 	var valFlat []float64
@@ -537,12 +537,10 @@ type tableau struct {
 	active []int32 // pricing skip list: non-banned, non-fixed columns
 	cand   []int32 // partial-pricing candidate list (sparse mode)
 
-	// Dual-devex row weights for runDual's leaving-row choice (devex.go).
-	// ddOff pins the dual simplex to the plain most-violated rule
-	// (Problem.DisableDevex, threaded through by reoptimize); ddCol is the
-	// gathered pivot column the weight update reads after the pivot.
+	// Dual-devex row weights for runDual's leaving-row choice (devex.go);
+	// ddCol is the gathered pivot column the weight update reads after
+	// the pivot.
 	dd    dualDevex
-	ddOff bool
 	ddCol []float64
 }
 
@@ -797,52 +795,29 @@ func (t *tableau) setCosts(c []float64) {
 // only for structurally invalid models; infeasibility and unboundedness are
 // reported through Solution.Status.
 func (p *Problem) Solve() (*Solution, error) {
-	if !p.DisablePresolve {
+	q := p
+	var ps *presolved
+	if !p.Engine.DisablePresolve {
 		for j := range p.lo {
 			if math.IsNaN(p.lo[j]) || math.IsNaN(p.hi[j]) {
 				return nil, fmt.Errorf("%w: NaN bound on variable %d", ErrBadModel, j)
 			}
 		}
-		ps, st := presolveProblem(p)
-		if st == Infeasible {
+		var st Status
+		if ps, st = presolveProblem(p); st == Infeasible {
 			return &Solution{Status: Infeasible}, nil
 		}
 		if ps != nil {
-			sol, err := ps.reduced.solveAggregated()
-			if err != nil {
-				return nil, err
-			}
-			return ps.postsolve(sol), nil
-		}
-	}
-	return p.solveAggregated()
-}
-
-// solveAggregated runs the aggregation reduction (aggregate.go) in front
-// of the cold solve: p → aggregate → solveColdAuto → disaggregate. The
-// layers compose as p → presolve → aggregate → solve, with each postsolve
-// unwinding in reverse.
-func (p *Problem) solveAggregated() (*Solution, error) {
-	if !p.DisableAggregation {
-		ag, st := aggregateProblem(p)
-		if st == Infeasible {
-			return &Solution{Status: Infeasible}, nil
-		}
-		if ag != nil {
-			aggMerges.Add(1)
-			ws := wsPool.Get().(*workspace)
-			sol, err := solveColdAuto(ag.reduced, ws)
-			wsPool.Put(ws)
-			if err != nil {
-				return nil, err
-			}
-			return ag.postsolve(sol), nil
+			q = ps.reduced
 		}
 	}
 	ws := wsPool.Get().(*workspace)
-	sol, err := solveColdAuto(p, ws)
+	sol, err := solveColdAuto(q, ws)
 	wsPool.Put(ws)
-	return sol, err
+	if err != nil || ps == nil {
+		return sol, err
+	}
+	return ps.postsolve(sol), nil
 }
 
 // revisedSolves counts cold solves answered by the revised sparse engine.
@@ -1033,7 +1008,7 @@ func solveCold(p *Problem, ws *workspace, tag *basisTag) (*Solution, *standard, 
 			// contradictory boxes via presolve/empty-box checks first.
 			if std.pat != nil {
 				dense := *p
-				dense.DisableSparse = true
+				dense.Engine.DisableSparse = true
 				sol2, std2, t2, err := solveCold(&dense, ws, tag)
 				if err == nil && sol2 != nil {
 					sol2.Iterations += totalIters

@@ -41,7 +41,7 @@ package lp
 // it saves, so the tableau drops it and continues with the dense kernels —
 // the values are shared, so the switch is free and exact.
 //
-// The dense path remains the correctness authority: Problem.DisableSparse
+// The dense path remains the correctness authority: Engine.DisableSparse
 // pins every kernel to the original dense loops, mirroring the
 // DisableWarmStart discipline of the warm-start layer.
 

@@ -52,10 +52,10 @@ func TestSparseMatchesDenseProperty(t *testing.T) {
 	for seed := 0; seed < instances; seed++ {
 		rng := stats.NewRNG(uint64(seed) + 7001)
 		p := sparseInstance(rng)
-		p.DisablePresolve = true
+		p.Engine.DisablePresolve = true
 
 		dense := p.Clone()
-		dense.DisableSparse = true
+		dense.Engine.DisableSparse = true
 
 		got, err := p.Solve()
 		if err != nil {
@@ -136,8 +136,8 @@ func TestWarmSparseComposition(t *testing.T) {
 				t.Fatalf("seed %d step %d: warm error: %v", seed, s, err)
 			}
 			authority := p.Clone()
-			authority.DisableSparse = true
-			authority.DisablePresolve = true
+			authority.Engine.DisableSparse = true
+			authority.Engine.DisablePresolve = true
 			c, err := authority.Solve()
 			if err != nil {
 				t.Fatalf("seed %d step %d: dense cold error: %v", seed, s, err)
@@ -175,7 +175,7 @@ func TestTableauSparseCold(t *testing.T) {
 			t.Fatalf("seed %d: tableau-sparse solve error: %v", seed, err)
 		}
 		dense := p.Clone()
-		dense.DisableSparse = true
+		dense.Engine.DisableSparse = true
 		want, _, _, err := solveCold(dense, nil, nil)
 		if err != nil {
 			t.Fatalf("seed %d: dense solve error: %v", seed, err)
@@ -224,7 +224,7 @@ func TestDenseFallbackGuard(t *testing.T) {
 		t.Fatalf("fully dense instance never tripped the density guard")
 	}
 	dense := p.Clone()
-	dense.DisableSparse = true
+	dense.Engine.DisableSparse = true
 	ref, _ := dense.Solve()
 	if math.Abs(sol.Obj-ref.Obj) > 1e-9*(1+math.Abs(ref.Obj)) {
 		t.Fatalf("obj %.12g vs dense %.12g", sol.Obj, ref.Obj)

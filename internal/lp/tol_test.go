@@ -129,7 +129,7 @@ func TestInfeasibleConfirmDebugHook(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVariable(0, 1, 1, "x")
 	p.AddConstraint([]Term{{Var: x, Coef: 1}}, GE, 2, "impossible")
-	p.DisablePresolve = true // keep presolve from short-circuiting the verdict
+	p.Engine.DisablePresolve = true // keep presolve from short-circuiting the verdict
 	sol, err := p.Solve()
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +164,7 @@ func TestVerdictScaleInvariance(t *testing.T) {
 		p.AddConstraint([]Term{{Var: n2, Coef: s(-0.2816953832080269)}, {Var: x, Coef: -1}}, LE, s(-1.1746451975293033), "c2")
 		p.AddConstraint([]Term{{Var: n4, Coef: s(-0.03305176785262576)}, {Var: x, Coef: -1}}, LE, s(-1.1757521169033385), "c3")
 		p.AddConstraint([]Term{{Var: n2, Coef: 1}, {Var: n4, Coef: 1}}, LE, 90, "cap")
-		p.DisableSparse = dense
+		p.Engine.DisableSparse = dense
 		return p
 	}
 	infeasible := func(e int, dense bool) *Problem {
@@ -173,8 +173,8 @@ func TestVerdictScaleInvariance(t *testing.T) {
 		y := p.AddVariable(0, 1, 0, "y")
 		s := func(v float64) float64 { return math.Ldexp(v, e) }
 		p.AddConstraint([]Term{{Var: x, Coef: s(1)}, {Var: y, Coef: s(1)}}, GE, s(3), "impossible")
-		p.DisableSparse = dense
-		p.DisablePresolve = true // force the verdict through the simplex
+		p.Engine.DisableSparse = dense
+		p.Engine.DisablePresolve = true // force the verdict through the simplex
 		return p
 	}
 	// Only the cut rows scale (the time dimension); the node columns and

@@ -190,7 +190,7 @@ func (inc *Incremental) rebuildCold() (*Solution, error) {
 // set.
 func (inc *Incremental) rebuildFromCrash() (*Solution, error, bool) {
 	p := inc.p
-	if p.DisableCrash || p.crashPoint == nil {
+	if p.Engine.DisableCrash || p.crashPoint == nil {
 		return nil, nil, false
 	}
 	sol, std, t, artStart, _, err := coldSetup(p, nil, inc.tag)
@@ -791,7 +791,6 @@ func (inc *Incremental) reoptimize() (*Solution, error) {
 	}
 	pivots0 := t.pivots
 	t.iters = 0
-	t.ddOff = inc.p.DisableDevex
 	// The dual repair of a handful of bound changes or row additions needs
 	// O(m) pivots; a dual phase still churning past a few multiples of the
 	// tableau size is wandering a degenerate face (the Bland fallback is
@@ -844,7 +843,7 @@ func (inc *Incremental) reoptimize() (*Solution, error) {
 
 // runDual iterates the dual simplex: pick the leaving row among the basic
 // variables outside their bounds — by dual-devex score violation²/w_i
-// (devex.go), or by plain worst violation under DisableDevex/Bland — then
+// (devex.go), or by plain worst violation under Bland — then
 // the entering column by the dual ratio test over the dual-feasible reduced
 // costs. Bound tightenings and row additions leave the reduced costs
 // untouched, so the incumbent basis is a valid starting point and each
@@ -852,14 +851,11 @@ func (inc *Incremental) reoptimize() (*Solution, error) {
 func (t *tableau) runDual(maxIter int) Status {
 	m := len(t.a)
 	t.buildActive()
-	devex := !t.ddOff
-	if devex {
-		t.dd.reset(m)
-		if cap(t.ddCol) < m {
-			t.ddCol = make([]float64, m)
-		}
-		t.ddCol = t.ddCol[:m]
+	t.dd.reset(m)
+	if cap(t.ddCol) < m {
+		t.ddCol = make([]float64, m)
 	}
+	t.ddCol = t.ddCol[:m]
 	stall := 0
 	blandAfter := m + 64
 	for t.iters < maxIter {
@@ -886,7 +882,7 @@ func (t *tableau) runDual(maxIter int) Status {
 			} else {
 				continue
 			}
-			if devex && !bland {
+			if !bland {
 				if score := v * v / t.dd.w[i]; score > bestScore {
 					bestScore, r, target, rKind = score, i, tgt, kind
 				}
@@ -985,26 +981,18 @@ func (t *tableau) runDual(maxIter int) Status {
 		t.status[leave] = rKind
 		t.basis[r] = e
 		t.inBase[e] = true
-		if devex {
-			for i := 0; i < m; i++ {
-				a := t.a[i][e]
-				t.ddCol[i] = a
-				if i != r {
-					t.b[i] -= a * delta
-				}
-			}
-		} else {
-			for i := 0; i < m; i++ {
-				if i != r {
-					t.b[i] -= t.a[i][e] * delta
-				}
+		for i := 0; i < m; i++ {
+			a := t.a[i][e]
+			t.ddCol[i] = a
+			if i != r {
+				t.b[i] -= a * delta
 			}
 		}
 		t.b[r] = newVal
 		t.obj += step
 		t.pivot(r, e)
 		t.pivots++
-		if devex && t.dd.update(r, alphaRE, t.ddCol) {
+		if t.dd.update(r, alphaRE, t.ddCol) {
 			t.dd.reset(m)
 		}
 

@@ -109,24 +109,11 @@ type Options struct {
 	// the search — optimum, tree statistics, every Result field — is
 	// bit-identical to a serial run. 0 uses one worker per CPU; values
 	// that resolve to a single worker select the plain serial path.
-	// Speculation only applies when DisableWarmStart is set: the warm
-	// path reoptimizes each node from its parent basis on the authority
-	// goroutine, which is both faster and inherently sequential.
+	// Speculation only applies when the base problem's
+	// Engine.DisableWarmStart is set: the warm path reoptimizes each node
+	// from its parent basis on the authority goroutine, which is both
+	// faster and inherently sequential.
 	Parallelism int
-	// DisableWarmStart turns off dual-simplex warm starting of node LPs
-	// from the parent basis and reverts to cold two-phase solves (plus
-	// speculative prefetch when Parallelism allows). Warm starting is the
-	// default; this is the ablation/benchmark knob.
-	DisableWarmStart bool
-	// DisableSparse pins every node LP to the dense simplex kernels
-	// (lp.Problem.DisableSparse on the base problem, inherited by all
-	// node clones). Benchmark/ablation knob for the sparse path.
-	DisableSparse bool
-	// DisablePresolve skips the LP presolve reduction in front of cold
-	// node solves (lp.Problem.DisablePresolve on the base problem,
-	// inherited by all node clones). Ablation knob for the
-	// scale-equivariance battery.
-	DisablePresolve bool
 }
 
 // Result is the outcome of a solve.
@@ -145,7 +132,7 @@ type Result struct {
 	// WarmSolves / ColdSolves split the node LP solves by how the basis
 	// cache fared: WarmSolves were resolved by dual-simplex reoptimization
 	// of the cached parent basis, ColdSolves needed a full two-phase
-	// rebuild (every solve is cold when DisableWarmStart is set). See
+	// rebuild (every solve is cold when Engine.DisableWarmStart is set). See
 	// lp.Incremental.Stats.
 	WarmSolves int
 	ColdSolves int
@@ -206,7 +193,7 @@ type solver struct {
 
 	// Warm-start state: one persistent incremental LP shared by every
 	// node, reconfigured per node by bound updates and cut appends.
-	inc         *lp.Incremental // nil when DisableWarmStart
+	inc         *lp.Incremental // nil when base.Engine.DisableWarmStart
 	cutsApplied int             // prefix of s.cuts already absorbed by inc
 
 	// inexactBound tracks the weakest bound among nodes dropped on
@@ -401,12 +388,6 @@ func SolveContext(ctx context.Context, base *lp.Problem, ints []int, sos []SOS1,
 	if opts.MaxNodes == 0 {
 		opts.MaxNodes = 200000
 	}
-	if (opts.DisableSparse && !base.DisableSparse) ||
-		(opts.DisablePresolve && !base.DisablePresolve) {
-		base = base.Clone() // node LPs clone base, so the flags propagate
-		base.DisableSparse = base.DisableSparse || opts.DisableSparse
-		base.DisablePresolve = base.DisablePresolve || opts.DisablePresolve
-	}
 	s := &solver{ctx: ctx, base: base, ints: ints, sos: sos, opts: opts,
 		incObj: math.Inf(1), inexactBound: math.Inf(1),
 		res: &Result{BestBound: math.Inf(-1)}}
@@ -419,7 +400,7 @@ func SolveContext(ctx context.Context, base *lp.Problem, ints []int, sos []SOS1,
 			s.res.ColdSolves = s.res.LPSolves
 		}
 	}()
-	if opts.DisableWarmStart {
+	if base.Engine.DisableWarmStart {
 		// Speculative prefetch only pays off for cold node solves; the
 		// warm path reoptimizes sequentially from the parent basis.
 		if w := par.Workers(opts.Parallelism); w > 1 {
@@ -438,7 +419,7 @@ func SolveContext(ctx context.Context, base *lp.Problem, ints []int, sos []SOS1,
 		root.lo[j] = math.Ceil(root.lo[j] - 1e-9)
 		root.hi[j] = math.Floor(root.hi[j] + 1e-9)
 	}
-	if !opts.DisableWarmStart {
+	if !base.Engine.DisableWarmStart {
 		// The incremental LP starts from the root box (base clone, so it
 		// inherits MaxIter); each node reconfigures it in place.
 		s.inc = lp.NewIncremental(buildNodeLP(base, root, nil))

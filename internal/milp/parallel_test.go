@@ -112,7 +112,8 @@ func TestParallelMatchesSerialProperty(t *testing.T) {
 		}
 		// Warm starts force serial LP solves, so disable them here to
 		// keep the speculative prefetch path under test.
-		opts := Options{MaxNodes: 20000, DebugLPCheck: kkt, DisableWarmStart: true}
+		p.Engine.DisableWarmStart = true
+		opts := Options{MaxNodes: 20000, DebugLPCheck: kkt}
 		optsSerial := opts
 		optsSerial.Parallelism = -1
 		serial := Solve(p.Clone(), ints, sos, optsSerial)

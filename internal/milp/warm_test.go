@@ -32,7 +32,7 @@ func TestWarmMatchesColdProperty(t *testing.T) {
 			}
 		}
 		warm := Solve(p.Clone(), ints, sos, Options{MaxNodes: 20000, DebugLPCheck: kkt})
-		cold := Solve(p.Clone(), ints, sos, Options{MaxNodes: 20000, DisableWarmStart: true})
+		cold := Solve(coldLP(p), ints, sos, Options{MaxNodes: 20000})
 
 		if warm.Status != cold.Status {
 			t.Fatalf("seed %d: status %v (warm) vs %v (cold)", seed, warm.Status, cold.Status)
@@ -64,7 +64,8 @@ func TestIterLimitNodeNotPruned(t *testing.T) {
 	}
 	for _, cold := range []bool{false, true} {
 		p, ints := build()
-		res := Solve(p, ints, nil, Options{DisableWarmStart: cold})
+		p.Engine.DisableWarmStart = cold
+		res := Solve(p, ints, nil, Options{})
 		if res.Status == Infeasible {
 			t.Fatalf("cold=%v: IterLimit nodes reported as Infeasible (the model is feasible)", cold)
 		}
@@ -127,7 +128,7 @@ func TestWarmPivotSavings(t *testing.T) {
 			p.AddConstraint(terms, lp.LE, 3.0*float64(tasks), "")
 		}
 		warm := Solve(p.Clone(), ints, nil, Options{MaxNodes: 20000})
-		cold := Solve(p.Clone(), ints, nil, Options{MaxNodes: 20000, DisableWarmStart: true})
+		cold := Solve(coldLP(p), ints, nil, Options{MaxNodes: 20000})
 		if warm.Status != Optimal || cold.Status != Optimal {
 			t.Fatalf("seed %d: status %v (warm) / %v (cold)", seed, warm.Status, cold.Status)
 		}
@@ -143,4 +144,11 @@ func TestWarmPivotSavings(t *testing.T) {
 	}
 	t.Logf("pivots: warm %d vs cold %d (%.1fx)", warmPivots, coldPivots,
 		float64(coldPivots)/float64(warmPivots))
+}
+
+// coldLP returns a clone of p whose node LPs all solve cold.
+func coldLP(p *lp.Problem) *lp.Problem {
+	c := p.Clone()
+	c.Engine.DisableWarmStart = true
+	return c
 }

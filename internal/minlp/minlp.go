@@ -77,19 +77,11 @@ type Options struct {
 	MaxNodes int
 	// DisableSOSBranching forwards the ablation knob to the MILP tree.
 	DisableSOSBranching bool
-	// DisableWarmStart forwards to the Kelley relaxation and the MILP
-	// master: every LP is then solved from scratch instead of
-	// dual-simplex reoptimized from a parent basis.
-	DisableWarmStart bool
 	// CutAtFractional adds OA cuts at fractional node solutions too.
 	CutAtFractional bool
-	// DisableSparse pins every LP — Kelley relaxation and master tree —
-	// to the dense simplex kernels (benchmark/ablation knob).
-	DisableSparse bool
-	// DisablePresolve skips the LP presolve reduction in front of every
-	// cold LP solve of the Kelley relaxation and the master tree
-	// (ablation knob for the scale-equivariance battery).
-	DisablePresolve bool
+	// Engine selects the LP engine knobs of every LP — Kelley relaxation
+	// and master tree. It is passed down unchanged.
+	Engine lp.Engine
 	// SkipNLPRelaxation skips step 1 (the initial Kelley solve); the
 	// master then starts from the pure linear relaxation. Used by the
 	// solver ablation benchmarks.
@@ -185,6 +177,7 @@ func SolveContext(ctx context.Context, m *model.Model, opts Options) *Result {
 	}
 
 	master := m.LPRelaxation()
+	master.Engine = opts.Engine
 	if opts.CrashPoint != nil {
 		master.SetCrashPoint(opts.CrashPoint)
 	}
@@ -248,10 +241,8 @@ func SolveContext(ctx context.Context, m *model.Model, opts Options) *Result {
 	// warm-start the master with the same linearizations.
 	if !opts.SkipNLPRelaxation {
 		relax := nlp.SolveConvex(m.Clone(), nlp.ConvexOptions{
-			Tol:              opts.FeasTol / 10,
-			DisableWarmStart: opts.DisableWarmStart,
-			DisableSparse:    opts.DisableSparse,
-			DisablePresolve:  opts.DisablePresolve,
+			Tol:    opts.FeasTol / 10,
+			Engine: opts.Engine,
 		})
 		res.LPSolves += relax.Iters
 		res.Pivots += relax.Pivots
@@ -351,9 +342,6 @@ func SolveContext(ctx context.Context, m *model.Model, opts Options) *Result {
 		GapTol:              opts.GapTol,
 		TimeLimit:           opts.TimeLimit,
 		DisableSOSBranching: opts.DisableSOSBranching,
-		DisableWarmStart:    opts.DisableWarmStart,
-		DisableSparse:       opts.DisableSparse,
-		DisablePresolve:     opts.DisablePresolve,
 		CutAtFractional:     opts.CutAtFractional,
 		Lazy:                lazy,
 		DebugLPCheck:        opts.DebugLPCheck,

@@ -1,6 +1,10 @@
 package minlp
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/lp"
+)
 
 // TestWarmColdStatsSurface: the basis-cache statistics of the master tree
 // must surface through Result so the serve layer can export them. With warm
@@ -21,7 +25,7 @@ func TestWarmColdStatsSurface(t *testing.T) {
 		t.Fatalf("warm-started solve reported zero warm reoptimizations: %+v", warm)
 	}
 
-	cold := Solve(m.Clone(), Options{DisableWarmStart: true})
+	cold := Solve(m.Clone(), Options{Engine: lp.Engine{DisableWarmStart: true}})
 	if cold.Status != Optimal {
 		t.Fatalf("status %v", cold.Status)
 	}

@@ -54,16 +54,10 @@ type ConvexOptions struct {
 	// relative to each constraint's first-order magnitude at the candidate
 	// point (model.CutScale, power-of-two factors with floor 1).
 	Tol float64
-	// DisableWarmStart solves every cutting-plane iteration from scratch
-	// instead of dual-simplex reoptimizing from the previous basis.
-	DisableWarmStart bool
-	// DisableSparse pins the LP relaxation to the dense simplex kernels
-	// (benchmark/ablation knob for the sparse path).
-	DisableSparse bool
-	// DisablePresolve skips the LP presolve reduction in front of cold
-	// relaxation solves (ablation knob for the scale-equivariance
-	// battery; warm solves never presolve).
-	DisablePresolve bool
+	// Engine selects the LP engine knobs of the relaxation. Under
+	// Engine.DisableWarmStart every cutting-plane iteration solves from
+	// scratch instead of dual-simplex reoptimizing from the previous basis.
+	Engine lp.Engine
 }
 
 // SolveConvex minimizes the model's linear objective over its linear
@@ -84,15 +78,14 @@ func SolveConvex(m *model.Model, opts ConvexOptions) *ConvexResult {
 		opts.Tol = 1e-7
 	}
 	p := m.LPRelaxation()
-	p.DisableSparse = opts.DisableSparse
-	p.DisablePresolve = opts.DisablePresolve
+	p.Engine = opts.Engine
 	res := &ConvexResult{}
 	nl := m.Nonlinear()
 	// Each iteration only appends cuts, so the previous optimal basis
 	// stays dual-feasible and the incremental solver reoptimizes with a
 	// handful of dual pivots instead of a full cold solve.
 	var inc *lp.Incremental
-	if !opts.DisableWarmStart {
+	if !opts.Engine.DisableWarmStart {
 		inc = lp.NewIncremental(p)
 	}
 	for iter := 0; iter < opts.MaxIter; iter++ {

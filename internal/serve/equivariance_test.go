@@ -7,6 +7,7 @@ import (
 
 	hslb "repro"
 	"repro/internal/core"
+	"repro/internal/lp"
 )
 
 // scaleProblemBy multiplies every time-dimensioned coefficient by an
@@ -32,12 +33,12 @@ var equivConfigs = []struct {
 	opts hslb.SolverOptions
 }{
 	{"default", hslb.SolverOptions{}},
-	{"dense", hslb.SolverOptions{DisableSparse: true}},
-	{"cold", hslb.SolverOptions{DisableWarmStart: true}},
-	{"nopresolve", hslb.SolverOptions{DisablePresolve: true}},
+	{"dense", hslb.SolverOptions{Engine: lp.Engine{DisableSparse: true}}},
+	{"cold", hslb.SolverOptions{Engine: lp.Engine{DisableWarmStart: true}}},
+	{"nopresolve", hslb.SolverOptions{Engine: lp.Engine{DisablePresolve: true}}},
 	{"skipnlp", hslb.SolverOptions{SkipNLPRelaxation: true}},
-	{"cold-dense-nopresolve", hslb.SolverOptions{
-		DisableWarmStart: true, DisableSparse: true, DisablePresolve: true}},
+	{"cold-dense-nopresolve", hslb.SolverOptions{Engine: lp.Engine{
+		DisableWarmStart: true, DisableSparse: true, DisablePresolve: true}}},
 }
 
 // assertExactlyScaled asserts that the allocation of the 2^e-rescaled
@@ -233,8 +234,8 @@ func TestWarmSparseFalseInfeasibleRegression(t *testing.T) {
 		opts hslb.SolverOptions
 	}{
 		{"skipNLP", hslb.SolverOptions{SkipNLPRelaxation: true}},
-		{"noWarm", hslb.SolverOptions{DisableWarmStart: true}},
-		{"noSparse", hslb.SolverOptions{DisableSparse: true}},
+		{"noWarm", hslb.SolverOptions{Engine: lp.Engine{DisableWarmStart: true}}},
+		{"noSparse", hslb.SolverOptions{Engine: lp.Engine{DisableSparse: true}}},
 	} {
 		a, err := hslb.Solve(unscaled, cfg.opts)
 		if err != nil {

@@ -204,6 +204,9 @@ func TestParametricTableServing(t *testing.T) {
 	if status != 200 {
 		t.Fatalf("base solve: %d %s", status, data)
 	}
+	// The flight leader certifies the bracket after its waiters are
+	// answered, still holding its admission slot: wait for the slot.
+	waitAdmissionIdle(srv)
 	st := srv.Stats()
 	if st.TableSegments == 0 {
 		t.Fatalf("sweet-spot solve certified no bracket (stats %+v)", st)
@@ -248,6 +251,19 @@ func TestParametricTableServing(t *testing.T) {
 	}
 	if !bytes.Equal(sol, sol2) {
 		t.Fatalf("promoted replay diverges:\n%s\n%s", sol, sol2)
+	}
+}
+
+// waitAdmissionIdle blocks until no flight holds an admission slot, by
+// taking every slot and handing them back. A flight leader finishes its
+// post-response work (bracket certification) inside its slot, so after
+// this returns that work is done.
+func waitAdmissionIdle(s *Server) {
+	for i := 0; i < cap(s.sem); i++ {
+		s.sem <- struct{}{}
+	}
+	for i := 0; i < cap(s.sem); i++ {
+		<-s.sem
 	}
 }
 
